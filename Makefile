@@ -61,17 +61,15 @@ native-check:
 
 # native-check-multi is the genuinely-parallel half of the native
 # gate: with GOMAXPROCS pinned above 1, real goroutines interleave on
-# real cores, so the striped-TLE seqlock sharding, the native KV
-# service pipeline, and the cross-backend conformance paths run under
-# -race with actual concurrency, and the disjoint-key speedup test
-# (striped native-tle must beat the single-seq lock) actually
-# measures something. On a 1-CPU host the speedup test skips with a
-# notice naming this target; everything else still runs.
+# real cores, so the native lock suite (including the contended
+# native-tle and native-natle soaks), the native KV service pipeline,
+# and the cross-backend conformance paths run under -race with actual
+# concurrency rather than time-sliced on one processor.
 NATIVE_MULTI_PROCS ?= 4
 native-check-multi:
-	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestStriped' ./internal/native
+	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/native
 	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m ./internal/service
-	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance|TestStripedDisjointSpeedup' -v ./internal/workload
+	GOMAXPROCS=$(NATIVE_MULTI_PROCS) $(GO) test -race -timeout 15m -run 'TestCrossBackendConformance' -v ./internal/workload
 
 # The full gate: everything must build, lint clean (gofmt + vet), and
 # pass under the race detector.

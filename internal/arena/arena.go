@@ -7,10 +7,15 @@
 // to speak directly to the simulator (*htm.System / *sim.Ctx). To run
 // the same structures on the native backend — real goroutines over a
 // real []atomic.Uint64 — every access has to flow through a contract
-// both worlds implement. Mem is that contract, and it is deliberately
-// generic-shaped: the structure cores take a type parameter constrained
-// to Mem, so each backend's adapter is monomorphized and the per-word
-// loads and stores compile to direct calls, not interface dispatch.
+// both worlds implement. Mem is that contract, and the structure cores
+// take a type parameter constrained to Mem rather than a Mem interface
+// value. That does not make the per-word accesses direct calls: Go
+// stencils generic code per GC shape and reaches the type parameter's
+// methods through the instantiation's dictionary, and the Backend
+// adapter then makes one more interface call into backend.Ctx. A native
+// word load through a generic core over Backend costs about twice a
+// bare native Thread.Load: 5.0 ns against 2.5-3.0 ns, measured on a
+// 2-CPU linux/amd64 host with go1.24.
 //
 // The Arena itself lives *inside* backend words: each allocation lane
 // keeps its bump cursor in a backend word, read and written through the
@@ -55,8 +60,7 @@ type Mem interface {
 //
 //	[cursor block]  one word per lane, one cache line apart, so two
 //	                threads bumping their cursors never conflict on a
-//	                line (or, under the striped TLE, on a seq stripe
-//	                that striping by line maps them to).
+//	                line.
 //	[data block]    lanes * laneWords words, lane-contiguous.
 //
 // Each lane's cursor holds the lane-relative offset of its next free

@@ -6,19 +6,6 @@ import (
 	"natle/internal/tle"
 )
 
-// resolveAttempts maps the shared scheme options onto the native retry
-// budget: an explicit TLE policy wins, then the raw attempt knob, then
-// the native default.
-func resolveAttempts(opt scheme.Options) int {
-	if opt.TLE.Attempts > 0 {
-		return opt.TLE.Attempts
-	}
-	if opt.Attempts > 0 {
-		return opt.Attempts
-	}
-	return DefaultAttempts
-}
-
 // groupsOf reads the thread-group count off a native world (the NATLE
 // factory's stand-in for the socket count).
 func groupsOf(w backend.World) int {
@@ -28,8 +15,15 @@ func groupsOf(w backend.World) int {
 	return 1
 }
 
+// newTLEFor maps the shared scheme options onto a native-tle lock: an
+// explicit TLE policy's attempt budget wins, then the raw attempt knob;
+// NewTLE supplies the native default when both are unset.
 func newTLEFor(opt scheme.Options) *TLE {
-	return NewTLE(resolveAttempts(opt), opt.TLE.Backoff)
+	attempts := opt.TLE.Attempts
+	if attempts <= 0 {
+		attempts = opt.Attempts
+	}
+	return NewTLE(attempts, opt.TLE.Backoff)
 }
 
 // The native-* schemes register here, from the native package's own
@@ -67,17 +61,6 @@ func init() {
 		Batch:   true,
 		Native: func(_ backend.World, _ backend.Ctx, opt scheme.Options) scheme.BackendInstance {
 			return newTLEFor(opt)
-		},
-	})
-	scheme.Register(&scheme.Descriptor{
-		Name:    "native-tle-striped",
-		Summary: "native-tle with the seqlock sharded per word-range: one sequence word per line stripe, per-stripe write acquisition with undo, so disjoint writers elide in parallel",
-		Opt:     scheme.Options{TLE: tle.Policy{Attempts: DefaultAttempts}},
-		Mutex:   true,
-		Robust:  true,
-		Batch:   true,
-		Native: func(_ backend.World, _ backend.Ctx, opt scheme.Options) scheme.BackendInstance {
-			return NewTLEStriped(resolveAttempts(opt), opt.TLE.Backoff)
 		},
 	})
 	scheme.Register(&scheme.Descriptor{

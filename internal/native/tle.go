@@ -98,7 +98,7 @@ func (t *TLE) Stats() scheme.Stats { return scheme.Stats{TLE: t.st.tleStats()} }
 //natlevet:hotpath
 func (t *TLE) Critical(bc backend.Ctx, body func()) {
 	c := bc.(*Thread)
-	if c.tx.active || c.stx.active {
+	if c.tx.active {
 		// Flat nesting: the enclosing optimistic section is the
 		// atomicity domain (the workloads never nest, but a body that
 		// does must not corrupt the thread's single txn slot).

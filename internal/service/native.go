@@ -21,7 +21,7 @@ import (
 // against the wall clock; threads 1..Shards*Servers are shard servers
 // draining bounded channel queues in batches, each batch one critical
 // section under the shard's scheme instance (any native registry
-// scheme — native-tle, native-tle-striped, ...). The shard stores are
+// scheme — native-tle, native-natle, ...). The shard stores are
 // simmap.BackendMap arenas in backend words, so every store access is
 // transactional under optimistic schemes exactly as on the simulator.
 //

@@ -6,6 +6,7 @@ import (
 	"natle/internal/backend"
 	"natle/internal/fault"
 	"natle/internal/native"
+	"natle/internal/scheme"
 	"natle/internal/service"
 	"natle/internal/telemetry"
 	"natle/internal/vtime"
@@ -31,7 +32,7 @@ func nativeConfBase() service.Config {
 // TestNativeServiceStoreConformance: the simulator predicts, the
 // native backend proves — the final KV contents of the same Config
 // must agree between the sim run and the native run under every
-// native scheme mirror.
+// registered native scheme.
 func TestNativeServiceStoreConformance(t *testing.T) {
 	base := nativeConfBase()
 
@@ -42,7 +43,7 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 		t.Fatalf("sim trial shed %d/%d requests; conformance needs loss-free trials", simRes.Shed, simRes.DeadlineShed)
 	}
 
-	for _, nat := range []string{"native-mutex", "native-tle", "native-tle-striped", "native-natle"} {
+	for _, nat := range scheme.NamesFor(backend.Native) {
 		t.Run(nat, func(t *testing.T) {
 			cfg := base
 			cfg.Scheme = nat
@@ -81,35 +82,40 @@ func TestNativeServiceStoreConformance(t *testing.T) {
 }
 
 // TestNativeServiceConservationUnderPressure: many servers per shard,
-// a tight queue, and deadlines — requests race real goroutines, and
-// the ledgers must still balance exactly.
+// a tight queue, and deadlines — requests race real goroutines inside
+// every eliding native scheme, and the ledgers must still balance
+// exactly.
 func TestNativeServiceConservationUnderPressure(t *testing.T) {
-	cfg := nativeConfBase()
-	cfg.Scheme = "native-tle-striped"
-	cfg.Rate = 1e6
-	cfg.Servers = 2
-	cfg.QueueCap = 8
-	cfg.Deadline = 50 * vtime.Microsecond
-	w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})
-	res := service.RunNative(w, cfg)
+	for _, name := range []string{"native-tle", "native-natle"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := nativeConfBase()
+			cfg.Scheme = name
+			cfg.Rate = 1e6
+			cfg.Servers = 2
+			cfg.QueueCap = 8
+			cfg.Deadline = 50 * vtime.Microsecond
+			w := native.NewWorld(native.Config{Seed: cfg.Seed, Words: cfg.NativeMemWords()})
+			res := service.RunNative(w, cfg)
 
-	if res.Arrivals != res.Admitted+res.Shed {
-		t.Fatalf("arrivals %d != admitted %d + shed %d", res.Arrivals, res.Admitted, res.Shed)
-	}
-	if res.Admitted != res.Completed+res.DeadlineShed {
-		t.Fatalf("admitted %d != completed %d + deadline-shed %d", res.Admitted, res.Completed, res.DeadlineShed)
-	}
-	for i, st := range res.PerShard {
-		if st.Arrivals != st.Admitted+st.Shed {
-			t.Fatalf("shard %d: arrivals %d != admitted %d + shed %d", i, st.Arrivals, st.Admitted, st.Shed)
-		}
-		if st.Admitted != st.Completed+st.DeadlineShed {
-			t.Fatalf("shard %d: admitted %d != completed %d + deadline-shed %d",
-				i, st.Admitted, st.Completed, st.DeadlineShed)
-		}
-	}
-	if res.Completed > 0 && res.Batches == 0 {
-		t.Fatalf("%d completions in 0 batches", res.Completed)
+			if res.Arrivals != res.Admitted+res.Shed {
+				t.Fatalf("arrivals %d != admitted %d + shed %d", res.Arrivals, res.Admitted, res.Shed)
+			}
+			if res.Admitted != res.Completed+res.DeadlineShed {
+				t.Fatalf("admitted %d != completed %d + deadline-shed %d", res.Admitted, res.Completed, res.DeadlineShed)
+			}
+			for i, st := range res.PerShard {
+				if st.Arrivals != st.Admitted+st.Shed {
+					t.Fatalf("shard %d: arrivals %d != admitted %d + shed %d", i, st.Arrivals, st.Admitted, st.Shed)
+				}
+				if st.Admitted != st.Completed+st.DeadlineShed {
+					t.Fatalf("shard %d: admitted %d != completed %d + deadline-shed %d",
+						i, st.Admitted, st.Completed, st.DeadlineShed)
+				}
+			}
+			if res.Completed > 0 && res.Batches == 0 {
+				t.Fatalf("%d completions in 0 batches", res.Completed)
+			}
+		})
 	}
 }
 

@@ -25,8 +25,30 @@ var conformancePairs = []struct {
 	{"lock", "native-spin"},
 	{"lock", "native-mutex"},
 	{"tle", "native-tle"},
-	{"tle", "native-tle-striped"},
 	{"natle", "native-natle"},
+}
+
+// TestConformancePairsMatchRegistry keeps the suite in step with the
+// scheme registry: every native scheme must be paired with a simulated
+// one, and every pair must name schemes registered on their backends.
+// Adding or removing a native scheme without touching the suite fails
+// here rather than silently dropping coverage.
+func TestConformancePairsMatchRegistry(t *testing.T) {
+	paired := map[string]bool{}
+	for _, pair := range conformancePairs {
+		if _, err := scheme.LookupFor(backend.Sim, pair.sim); err != nil {
+			t.Errorf("pair %s<->%s: %v", pair.sim, pair.native, err)
+		}
+		if _, err := scheme.LookupFor(backend.Native, pair.native); err != nil {
+			t.Errorf("pair %s<->%s: %v", pair.sim, pair.native, err)
+		}
+		paired[pair.native] = true
+	}
+	for _, name := range scheme.NamesFor(backend.Native) {
+		if !paired[name] {
+			t.Errorf("native scheme %q has no conformance pair", name)
+		}
+	}
 }
 
 func runConformance(t *testing.T, k backend.Kind, cfg workload.BackendConfig) *workload.BackendResult {
