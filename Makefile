@@ -41,9 +41,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # race-executor focuses the race detector on the parallel trial
-# executor and everything it fans out over host goroutines.
+# executor and everything it fans out over host goroutines, and on the
+# simulator engine whose threads are coroutines switched by the runtime.
 race-executor:
-	$(GO) test -race -timeout 30m ./internal/expt ./internal/harness ./internal/workload
+	$(GO) test -race -timeout 30m ./internal/sim ./internal/expt ./internal/harness ./internal/workload
 
 # native-check gates the real-execution backend: the native lock
 # suite and the cross-backend conformance tests under the race

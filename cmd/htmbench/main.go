@@ -26,6 +26,9 @@
 // Service overload control (-service): -deadline arms per-request
 // deadlines with queue-wait shedding, -brownout arms the p99-driven
 // brownout ladder, -retrybudget arms the per-shard abort budget.
+//
+// Profiling: -cpuprofile writes a pprof CPU profile of any run, for
+// `go tool pprof`.
 package main
 
 import (
@@ -57,7 +60,7 @@ func main() {
 	bk := backendArg(os.Args[1:])
 	if !backend.Valid(bk) {
 		fmt.Fprintf(os.Stderr, "unknown backend %q (sim | native)\n", bk)
-		os.Exit(2)
+		exit(2)
 	}
 	lockDefault, lockHelp := "tle", "lock: "+scheme.FlagHelpFor(backend.Sim)+
 		" (batch-capable: "+scheme.BatchHelp()+")"
@@ -109,21 +112,28 @@ func main() {
 		nativeOps = flag.Int("ops", 1<<14, "native backend: per-thread operation count")
 		nativeWl  = flag.String("workload", workload.BackendCounter, nativeWorkloadHelp())
 		benchJSON = flag.String("benchjson", "", "native backend: write the BENCH_native.json snapshot (every native scheme x workload) to this file")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	)
 	flag.Parse()
 	if backend.Kind(*backendF) != bk {
 		// Only reachable when -backend hides in a place the pre-scan
 		// cannot see (after a terminating "--"); keep the two in sync.
 		fmt.Fprintln(os.Stderr, "-backend must precede any -- terminator")
-		os.Exit(2)
+		exit(2)
 	}
+	if err := startProfile(*cpuProfile); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit(2)
+	}
+	defer stopProfile()
 
 	var faultProf *fault.Profile
 	if *faultName != "" {
 		sched, err := fault.LookupSchedule(*faultName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		faultProf = &sched.Profile
 	}
@@ -131,13 +141,13 @@ func main() {
 	if bk == backend.Native {
 		if *chaos {
 			if !runNativeChaos(*seed, *faultName) {
-				os.Exit(1)
+				exit(1)
 			}
 			return
 		}
 		if _, err := scheme.LookupFor(backend.Native, *lockKind); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		if *svc {
 			// The KV service on real goroutines. The sim-only machinery
@@ -145,7 +155,7 @@ func main() {
 			// refused here rather than silently ignored.
 			if *brownoutUs > 0 || *retryBudget > 0 || faultProf != nil || *sloUs > 0 {
 				fmt.Fprintln(os.Stderr, "-brownout, -retrybudget, -fault, and -slo are sim-only; the native service supports -deadline")
-				os.Exit(2)
+				exit(2)
 			}
 			runNativeService(nativeServiceArgs{
 				scheme:   *lockKind,
@@ -198,7 +208,7 @@ func main() {
 		cells, err := harness.RunChaos(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			exit(2)
 		}
 		report, ok := harness.ChaosReport(cells)
 		fmt.Println("# chaos matrix, backend=sim")
@@ -206,14 +216,14 @@ func main() {
 		fmt.Println("# chaos matrix, backend=native")
 		if !runNativeChaos(*seed, *faultName) || !ok {
 			fmt.Fprintln(os.Stderr, "chaos: invariant violations detected")
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
 
 	if _, err := scheme.LookupFor(backend.Sim, *lockKind); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 
 	p := machine.LargeX52()
@@ -255,7 +265,7 @@ func main() {
 		policy = machine.SingleSocket{}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown pin policy %q\n", *pin)
-		os.Exit(2)
+		exit(2)
 	}
 
 	counts := defaultSweep(p)
@@ -265,7 +275,7 @@ func main() {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "bad thread count %q\n", f)
-				os.Exit(2)
+				exit(2)
 			}
 			counts = append(counts, n)
 		}
@@ -278,12 +288,12 @@ func main() {
 		metricsFile, err = os.Create(*metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		defer metricsFile.Close()
 		if err := telemetry.WriteCSVHeader(metricsFile, "threads"); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -376,7 +386,7 @@ func main() {
 		if metricsFile != nil {
 			if err := sum.WriteCSV(metricsFile, strconv.Itoa(n)); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 	}
@@ -385,15 +395,15 @@ func main() {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := lastCol.WriteChromeTrace(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote Chrome trace of the last trial to %s (%d events, %d dropped)\n",
 			*traceOut, lastCol.Summary().TraceEvents, lastCol.TraceDropped())

@@ -50,11 +50,11 @@ func runNative(a nativeArgs) {
 	if !workload.IsBackendWorkload(a.workload) {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (have %s)\n",
 			a.workload, strings.Join(workload.BackendWorkloads(), " | "))
-		os.Exit(2)
+		exit(2)
 	}
 	if a.workload == workload.BackendSets && sets.InsertWords(a.set) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown set kind %q\n", a.set)
-		os.Exit(2)
+		exit(2)
 	}
 	var counts []int
 	if a.threadsCSV != "" {
@@ -62,7 +62,7 @@ func runNative(a nativeArgs) {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "bad thread count %q\n", f)
-				os.Exit(2)
+				exit(2)
 			}
 			counts = append(counts, n)
 		}
@@ -116,7 +116,7 @@ func runNative(a nativeArgs) {
 		f, err := os.Create(a.benchJSON)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
 		werr := writeNativeBench(f, snap)
 		if cerr := f.Close(); werr == nil {
@@ -124,7 +124,7 @@ func runNative(a nativeArgs) {
 		}
 		if werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("wrote %s (%d schemes x %d workloads)\n", a.benchJSON,
 			len(snap.Workloads[0].Schemes), len(snap.Workloads))
@@ -172,7 +172,7 @@ func runNativeService(a nativeServiceArgs) {
 	kind, err := service.LookupArrival(a.arrival)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	sweep := defaultNativeServiceRates
 	if a.rates != "" {
@@ -181,7 +181,7 @@ func runNativeService(a nativeServiceArgs) {
 			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil || r <= 0 {
 				fmt.Fprintf(os.Stderr, "bad rate %q\n", f)
-				os.Exit(2)
+				exit(2)
 			}
 			sweep = append(sweep, r)
 		}
@@ -239,7 +239,7 @@ func runNativeChaos(seed int64, only string) bool {
 	cells, err := harness.RunNativeChaos(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	report, ok := harness.NativeChaosReport(cells)
 	fmt.Print(report)

@@ -54,7 +54,7 @@ func (a serviceArgs) base() service.Config {
 	kind, err := service.LookupArrival(a.arrival)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	cfg := service.Config{
 		Prof:        a.prof,
@@ -89,7 +89,7 @@ func runService(a serviceArgs) {
 			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil || r <= 0 {
 				fmt.Fprintf(os.Stderr, "bad rate %q\n", f)
-				os.Exit(2)
+				exit(2)
 			}
 			sweep = append(sweep, r)
 		}
@@ -196,7 +196,7 @@ func runServiceSLO(a serviceArgs) {
 	f, err := os.Create(a.sloJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 	werr := writeServiceBench(f, out)
 	if cerr := f.Close(); werr == nil {
@@ -204,7 +204,7 @@ func runServiceSLO(a serviceArgs) {
 	}
 	if werr != nil {
 		fmt.Fprintln(os.Stderr, werr)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", a.sloJSON)
 }

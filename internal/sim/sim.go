@@ -1,15 +1,16 @@
 // Package sim implements a deterministic discrete-event simulator for
 // the machines described by package machine.
 //
-// Each simulated hardware thread is executed by its own goroutine, but
-// at most one simulated thread runs at any instant: a token is passed
-// between goroutines so that shared-memory events are processed in
-// strict global virtual-time order. A thread holding the token runs
-// freely until its local clock passes that of the earliest waiting
-// thread, at which point it yields (Checkpoint). Because execution is
-// serialized, all simulator state (cache directory, transaction sets,
-// statistics) is mutated without locks, and a run is fully
-// deterministic given (profile, seed).
+// Each simulated hardware thread is a coroutine (iter.Pull), and at
+// most one runs at any instant: Run resumes one coroutine at a time so
+// that shared-memory events are processed in strict global
+// virtual-time order. A running thread continues freely until its
+// local clock passes that of the earliest waiting thread, at which
+// point it names that thread as the next to run and yields back to the
+// driver (Checkpoint). Because execution is serialized, all simulator
+// state (cache directory, transaction sets, statistics) is mutated
+// without locks, and a run is fully deterministic given (profile,
+// seed).
 //
 // Local computation — external work, spin backoff — only advances the
 // local clock and is therefore nearly free in host time.
@@ -17,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"natle/internal/machine"
 	"natle/internal/vtime"
@@ -37,17 +39,15 @@ type Engine struct {
 	seed   uint64
 
 	// Slack is the out-of-order tolerance of the event ordering: a
-	// running thread keeps the token until its clock exceeds the
+	// running thread keeps running until its clock exceeds the
 	// earliest waiting thread's clock by more than Slack. A small
-	// positive slack batches accesses between goroutine handoffs
+	// positive slack batches accesses between coroutine switches
 	// (large host-time savings) at the cost of timing error bounded by
 	// Slack; it does not affect determinism.
 	Slack vtime.Duration
 
-	done     chan struct{}
-	crashed  chan struct{}
-	crashVal any
-	started  bool
+	next    *Ctx // thread Run resumes next; nil ends the run
+	started bool
 
 	// OnThreadFinish, if set, is invoked when a simulated thread's
 	// function returns (used by the HTM runtime to recycle per-thread
@@ -68,8 +68,6 @@ func New(p *machine.Profile, policy machine.PinPolicy, planned int, seed int64) 
 		planned:  planned,
 		policy:   policy,
 		seed:     uint64(seed)*0x9E3779B97F4A7C15 + 0x1234567,
-		done:     make(chan struct{}),
-		crashed:  make(chan struct{}),
 		Slack:    100 * vtime.Nanosecond,
 	}
 }
@@ -85,7 +83,10 @@ type Ctx struct {
 	core   int
 	socket int
 	rng    uint64
-	resume chan struct{}
+
+	resume func() (struct{}, bool) // runs the thread until it yields or returns
+	stop   func()                  // unwinds a parked thread
+	yield  func(struct{}) bool     // parks the thread, returning to Run
 
 	pinIdx   int    // index given to the pinning policy
 	idle     bool   // excluded from core contention (see SetIdle)
@@ -173,8 +174,8 @@ func (c *Ctx) Float64() float64 {
 	return float64(c.Rand64()>>11) / (1 << 53)
 }
 
-// Checkpoint yields the execution token if another runnable thread has
-// an earlier virtual time. Every simulated shared-memory access calls
+// Checkpoint yields to the driver if another runnable thread has an
+// earlier virtual time. Every simulated shared-memory access calls
 // this before taking effect, which is what gives the simulation its
 // strict global ordering.
 func (c *Ctx) Checkpoint() {
@@ -194,26 +195,19 @@ func (c *Ctx) Checkpoint() {
 	if n == c {
 		return
 	}
-	n.signal()
-	c.wait()
-}
-
-// Yield unconditionally offers the token to the earliest waiting
-// thread (used by spin loops after advancing their backoff time).
-func (c *Ctx) Yield() { c.Checkpoint() }
-
-func (c *Ctx) signal() { c.resume <- struct{}{} }
-
-// crashToken unwinds a goroutine whose engine has crashed elsewhere.
-type crashToken struct{}
-
-func (c *Ctx) wait() {
-	select {
-	case <-c.resume:
-	case <-c.eng.crashed:
+	e.next = n
+	if !c.yield(struct{}{}) {
 		panic(crashToken{})
 	}
 }
+
+// Yield unconditionally offers the processor to the earliest waiting
+// thread (used by spin loops after advancing their backoff time).
+func (c *Ctx) Yield() { c.Checkpoint() }
+
+// crashToken unwinds a parked thread that Run stops after a crash or a
+// deadlock.
+type crashToken struct{}
 
 // SpawnOn is Spawn with an explicit core assignment, bypassing the
 // pinning policy (used by delegation servers and application threads
@@ -229,7 +223,7 @@ func (e *Engine) SpawnOn(parent *Ctx, core int, fn func(*Ctx)) *Ctx {
 
 // Spawn creates a simulated thread running fn, placed by the engine's
 // pinning policy. When called from a running thread (parent non-nil
-// semantics are implicit: Engine tracks the caller via the token), the
+// semantics are implicit: only the running thread can call it), the
 // child starts after the configured spawn/pin overhead; the usual
 // pattern is to Spawn all workers from a driver thread. Spawn must be
 // called either before Run or by the currently running thread.
@@ -237,7 +231,6 @@ func (e *Engine) Spawn(parent *Ctx, fn func(*Ctx)) *Ctx {
 	c := &Ctx{
 		ID:     len(e.threads),
 		eng:    e,
-		resume: make(chan struct{}),
 		pinIdx: 0,
 	}
 	c.rng = e.seed ^ (uint64(c.ID+1) * 0xD1B54A32D192ED03)
@@ -269,23 +262,19 @@ func (e *Engine) Spawn(parent *Ctx, fn func(*Ctx)) *Ctx {
 	e.live++
 	e.coreLoad[c.core]++
 	e.push(c)
-	go e.body(c, fn)
-	return c
-}
-
-func (e *Engine) body(c *Ctx, fn func(*Ctx)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(crashToken); ok {
-				return
+	c.resume, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(crashToken); !ok {
+					panic(fmt.Sprintf("sim thread %d: %v", c.ID, r))
+				}
 			}
-			e.crashVal = fmt.Sprintf("sim thread %d: %v", c.ID, r)
-			close(e.crashed)
-		}
-	}()
-	c.wait()
-	fn(c)
-	e.finish(c)
+		}()
+		fn(c)
+		e.finish(c)
+	})
+	return c
 }
 
 func (e *Engine) finish(c *Ctx) {
@@ -296,16 +285,9 @@ func (e *Engine) finish(c *Ctx) {
 	if !c.idle {
 		e.coreLoad[c.core]--
 	}
-	if e.live == 0 {
-		close(e.done)
-		return
+	if len(e.heap) > 0 {
+		e.next = e.pop()
 	}
-	if len(e.heap) == 0 {
-		e.crashVal = "sim: deadlock — live threads but empty run queue"
-		close(e.crashed)
-		return
-	}
-	e.pop().signal()
 }
 
 // Live returns the number of simulated threads that have not finished.
@@ -314,21 +296,29 @@ func (e *Engine) Live() int { return e.live }
 // Threads returns all threads ever spawned (finished or not).
 func (e *Engine) Threads() []*Ctx { return e.threads }
 
-// Run drives the simulation until every simulated thread returns. It
-// re-panics any panic raised inside a simulated thread.
+// Run drives the simulation until every simulated thread returns,
+// resuming one thread at a time. It re-panics any panic raised inside
+// a simulated thread, after unwinding every other thread.
 func (e *Engine) Run() {
 	if e.started {
 		panic("sim: Run called twice")
 	}
 	e.started = true
-	if len(e.heap) == 0 {
-		return
+	defer func() {
+		for _, c := range e.threads {
+			c.stop()
+		}
+	}()
+	if len(e.heap) > 0 {
+		e.next = e.pop()
 	}
-	e.pop().signal()
-	select {
-	case <-e.done:
-	case <-e.crashed:
-		panic(e.crashVal)
+	for e.next != nil {
+		n := e.next
+		e.next = nil
+		n.resume()
+	}
+	if e.live > 0 {
+		panic("sim: deadlock — live threads but empty run queue")
 	}
 }
 

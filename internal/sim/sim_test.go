@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"natle/internal/machine"
 	"natle/internal/vtime"
@@ -141,4 +143,84 @@ func TestPanicPropagates(t *testing.T) {
 	})
 	e.Spawn(nil, func(c *Ctx) { panic("boom") })
 	e.Run()
+}
+
+// runRecover runs e and returns what Run panicked with, or nil.
+func runRecover(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+// settledGoroutines waits briefly for exiting goroutines to be reaped
+// and returns the count once it reaches want (or the last count seen).
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestCrashUnwindsEveryThread(t *testing.T) {
+	base := runtime.NumGoroutine()
+	// Threads run in ID order: 0 and 1 park in their first Checkpoint,
+	// 2 panics before its own, and 3 has not started yet.
+	crashed := New(machine.SmallI7(), machine.FillSocketFirst{}, 4, 1)
+	for i := 0; i < 4; i++ {
+		crashed.Spawn(nil, func(c *Ctx) {
+			for {
+				if c.ID == 2 {
+					panic("boom")
+				}
+				c.AdvanceIdle(vtime.Microsecond)
+				c.Checkpoint()
+			}
+		})
+	}
+	if r := runRecover(crashed); r != "sim thread 2: boom" {
+		t.Fatalf("Run panicked with %v, want %q", r, "sim thread 2: boom")
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("%d goroutines after a crashed Run, want baseline %d", n, base)
+	}
+
+	clean := New(machine.SmallI7(), machine.FillSocketFirst{}, 4, 1)
+	for i := 0; i < 4; i++ {
+		clean.Spawn(nil, func(c *Ctx) {
+			c.AdvanceIdle(vtime.Microsecond)
+			c.Checkpoint()
+		})
+	}
+	if r := runRecover(clean); r != nil {
+		t.Fatalf("clean Run panicked: %v", r)
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("%d goroutines after a clean Run, want baseline %d", n, base)
+	}
+}
+
+func TestDeadlockIsReported(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New(machine.SmallI7(), machine.FillSocketFirst{}, 2, 1)
+	e.Spawn(nil, func(c *Ctx) {
+		c.AdvanceIdle(vtime.Microsecond)
+		c.Checkpoint() // thread 1 runs and parks in its Checkpoint
+		// Drop the parked thread from the run queue: it stays live but
+		// nothing can ever resume it.
+		e.heap = e.heap[:0]
+	})
+	e.Spawn(nil, func(c *Ctx) {
+		c.AdvanceIdle(10 * vtime.Microsecond)
+		c.Checkpoint()
+		t.Error("thread dropped from the run queue was resumed")
+	})
+	const want = "sim: deadlock — live threads but empty run queue"
+	if r := runRecover(e); r != want {
+		t.Fatalf("Run panicked with %v, want %q", r, want)
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("%d goroutines after a deadlocked Run, want baseline %d", n, base)
+	}
 }
